@@ -328,8 +328,9 @@ fn obs_overhead(c: &mut Criterion) {
         })
     });
 
-    // Raw primitive costs: what one increment / one record / one sampled-out
-    // span costs on the hot path (all no-ops under obs-off).
+    // Raw primitive costs: what one increment / one record / one span
+    // outside any request scope costs on the hot path (all no-ops under
+    // obs-off).
     let counter = openmldb_obs::Registry::global().counter(
         "openmldb_bench_hot_ops_total",
         "hot-path counter cost probe",
@@ -347,23 +348,25 @@ fn obs_overhead(c: &mut Criterion) {
         })
     });
     g.bench_function("span_untraced", |b| {
-        // No active trace on this thread: the common fast path.
+        // No active flight recorder on this thread.
         b.iter(|| openmldb_obs::span(openmldb_obs::Stage::Aggregate, || std::hint::black_box(1)))
     });
 
-    // Workload-attribution primitives added by the labeled-metrics layer:
-    // one labeled increment, one full profile scope (enter + a scan-row
-    // record + finish), one heavy-hitter offer. All no-ops under obs-off.
+    // Workload-attribution primitives: one labeled increment, one full
+    // per-request recorder scope (enter + a scan-row record + finish, the
+    // request's whole cost-profile bookkeeping), one heavy-hitter offer. All
+    // no-ops under obs-off.
     let labeled = openmldb_obs::Registry::global().labeled_counter(
         "openmldb_bench_hot_labeled_total",
         "hot-path labeled-counter cost probe",
     );
     let label = openmldb_obs::LabelRegistry::deployments().resolve("hp");
     g.bench_function("labeled_counter_inc", |b| b.iter(|| labeled.inc(label)));
-    g.bench_function("profile_scope", |b| {
+    let mut rec = openmldb_obs::Recorder::new();
+    g.bench_function("recorder_scope", |b| {
         b.iter(|| {
-            let scope = openmldb_obs::ProfileScope::enter();
-            openmldb_obs::profile::record_scan_rows(1);
+            let scope = openmldb_obs::FlightScope::enter(&mut rec, std::time::Instant::now());
+            openmldb_obs::flight::add_rows_scanned(1);
             scope.finish()
         })
     });

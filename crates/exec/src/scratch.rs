@@ -78,10 +78,6 @@ pub struct RequestScratch {
     /// allocation survives across requests; [`reset`](Self::reset) leaves it
     /// alone so the warm path stays allocation-free.
     pub flight: openmldb_obs::Recorder,
-    /// Cost profile of the last request served through this scratch
-    /// (rows/bytes/seeks/stage-ns) — `Copy` and fixed-size, written once
-    /// per request by the engine after the flight scope closes.
-    pub profile: openmldb_obs::CostProfile,
     /// Reusable render buffer for the heavy-hitter partition-key string —
     /// cleared and rewritten in place so offering a hot key to the top-K
     /// sketch allocates nothing on the warm path.

@@ -1,18 +1,30 @@
-//! Always-on per-request flight recorder + slow-query post-mortems.
+//! The per-request record: an always-on flight recorder plus slow-query
+//! post-mortems.
 //!
-//! The span tracer ([`crate::trace`]) samples 1 in 64 requests, so it almost
-//! never catches the exact request that landed in the slow bucket. The flight
-//! recorder closes that gap: **every** request carries a fixed-size binary
-//! event ring ([`RING_EVENTS`] entries, last-N semantics) recording stage
-//! enters/exits, storage seeks and scan lengths, pre-aggregation hits, fault
-//! injections, retries, and deadline probes. The ring lives in the pooled
-//! per-request scratch ([`Recorder`]), so the warm path performs **zero heap
-//! allocations**: recording one event is a thread-local check plus an array
-//! write.
+//! **Every** request carries one pooled [`Recorder`] holding three things:
 //!
-//! On fast success the ring is simply *dropped* (overwritten by the next
-//! request). When a request times out, degrades, fails over, errors, or
-//! exceeds the slow-query threshold, the engine *dumps* it as a structured
+//! * exact per-[`Stage`] self-times, marked by [`span`];
+//! * the request's cost counters ([`CostProfile`]: storage seeks, rows
+//!   scanned, bytes decoded, pre-aggregation hits and skips, retries,
+//!   failovers, degraded);
+//! * a fixed-size binary event ring ([`RING_EVENTS`] entries, last-N
+//!   semantics) of stage enters/exits, seeks, scan lengths, pre-aggregation
+//!   hits, fault injections, retries and deadline probes.
+//!
+//! The recorder lives in the pooled per-request scratch, so the warm path
+//! performs **zero heap allocations**: recording one event is a
+//! thread-local check plus an array write. Deeply nested code (the SQL
+//! cache, the storage layer) records through the free functions [`span`],
+//! [`event`], [`add_rows_scanned`] and [`add_bytes_decoded`] without
+//! threading a handle through every signature; outside a [`FlightScope`]
+//! they record nothing.
+//!
+//! [`FlightScope::finish`] hands back the request's [`FlightSummary`],
+//! whose [`CostProfile`] the engine folds into the per-deployment
+//! [`ProfileStore`](crate::ProfileStore) (EXPLAIN ANALYZE). On fast success
+//! the ring is simply *dropped* (overwritten by the next request). When a
+//! request times out, degrades, fails over, errors, or exceeds the
+//! slow-query threshold, the engine *dumps* it as a structured
 //! [`PostMortem`] into a bounded process-wide slow-query log, queryable via
 //! [`slow_log`] / [`crate::Registry::slow_queries`] and rendered by
 //! [`render_report`] (the `obs_report` tool).
@@ -22,17 +34,16 @@
 //! Per-stage self-times are maintained *incrementally* as events arrive (a
 //! fixed stage stack plus a time cursor), not reconstructed from the ring —
 //! so attribution stays exact even after the ring wraps. The invariant every
-//! post-mortem upholds: `sum(stage_self_ns) + other_ns == total_ns`, where
-//! `other` is time outside any instrumented stage.
+//! summary and post-mortem upholds: `sum(stage_ns) + other_ns == total_ns`,
+//! where `other` is time outside any instrumented stage.
 //!
 //! Under the `obs-off` feature every record path in this module compiles to
 //! an inlined no-op and [`Recorder`] carries no state.
 
-use crate::trace::Stage;
+use crate::profile::CostProfile;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 /// Events retained per request. The ring keeps the **last** `RING_EVENTS`
@@ -50,7 +61,57 @@ pub const NUM_STAGES: usize = Stage::ALL.len();
 /// Default slow-query threshold: the paper's 20 ms decision-serving budget.
 pub const DEFAULT_SLOW_QUERY_THRESHOLD_NS: u64 = 20_000_000;
 
-/// What happened inside a request, one event per record call.
+/// Pipeline stages a request moves through. Mirrors the execution order in
+/// `online::engine::execute_request`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// SQL parsing and physical-plan construction.
+    Plan,
+    /// Plan-cache probe (hit or miss).
+    CacheLookup,
+    /// Choosing the window path (pre-aggregated vs. raw scan) and routing.
+    WindowDispatch,
+    /// Skiplist / disk seeks and row collection.
+    StorageSeek,
+    /// Window aggregate evaluation.
+    Aggregate,
+    /// Projecting and encoding the output row.
+    Encode,
+}
+
+impl Stage {
+    /// All stages in pipeline order; `ALL[s.index()] == s`.
+    pub const ALL: [Stage; 6] = [
+        Stage::Plan,
+        Stage::CacheLookup,
+        Stage::WindowDispatch,
+        Stage::StorageSeek,
+        Stage::Aggregate,
+        Stage::Encode,
+    ];
+
+    /// Dense index of this stage, `0..Stage::ALL.len()` — the recorder's
+    /// attribution slot.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Plan => "plan",
+            Stage::CacheLookup => "cache_lookup",
+            Stage::WindowDispatch => "window_dispatch",
+            Stage::StorageSeek => "storage_seek",
+            Stage::Aggregate => "aggregate",
+            Stage::Encode => "encode",
+        }
+    }
+}
+
+/// What happened inside a request, one event per record call. Kinds that
+/// are also cost counters (seeks, pre-aggregation hits and skips, retries,
+/// failovers, degraded) bump the request's [`CostProfile`] as they land.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlightEventKind {
     /// A pipeline stage began (`a` = [`Stage`] index).
@@ -142,59 +203,52 @@ struct Inner {
     /// Next write slot (== oldest event once the ring has wrapped).
     next: usize,
     dropped: u64,
-    stage_self_ns: [u64; NUM_STAGES],
     stack: [u8; STACK_DEPTH],
     depth: usize,
     cursor_ns: u64,
-    retries: u32,
-    failovers: u32,
     faults: u32,
-    degraded: u32,
+    /// Stage self-times and cost counters, accumulated as events land.
+    cost: CostProfile,
 }
 
 #[cfg(not(feature = "obs-off"))]
 impl Inner {
-    fn new() -> Box<Inner> {
+    fn new(t0: Instant) -> Box<Inner> {
         Box::new(Inner {
-            t0: Instant::now(),
+            t0,
             trace_id: 0,
             ring: [EMPTY_EVENT; RING_EVENTS],
             len: 0,
             next: 0,
             dropped: 0,
-            stage_self_ns: [0; NUM_STAGES],
             stack: [0; STACK_DEPTH],
             depth: 0,
             cursor_ns: 0,
-            retries: 0,
-            failovers: 0,
             faults: 0,
-            degraded: 0,
+            cost: CostProfile::default(),
         })
     }
 
-    fn reset(&mut self, trace_id: u64) {
-        self.t0 = Instant::now();
+    fn reset(&mut self, trace_id: u64, t0: Instant) {
+        self.t0 = t0;
         self.trace_id = trace_id;
         self.len = 0;
         self.next = 0;
         self.dropped = 0;
-        self.stage_self_ns = [0; NUM_STAGES];
         self.depth = 0;
         self.cursor_ns = 0;
-        self.retries = 0;
-        self.failovers = 0;
         self.faults = 0;
-        self.degraded = 0;
+        self.cost = CostProfile::default();
     }
 
     /// Charge the interval since the cursor to the innermost open stage.
     #[inline]
     fn charge(&mut self, t_ns: u64) {
-        if self.depth > 0 {
-            let top = self.stack[(self.depth - 1).min(STACK_DEPTH - 1)] as usize;
-            if top < NUM_STAGES {
-                self.stage_self_ns[top] += t_ns.saturating_sub(self.cursor_ns);
+        // The innermost tracked stage: the last of the first `depth` slots
+        // (deeper nesting keeps charging the deepest tracked stage).
+        if let Some((&stage, _)) = self.stack.iter().zip(0..self.depth).next_back() {
+            if let Some(slot) = self.cost.stage_ns.get_mut(usize::from(stage)) {
+                *slot += t_ns.saturating_sub(self.cursor_ns);
             }
         }
         self.cursor_ns = t_ns;
@@ -202,13 +256,13 @@ impl Inner {
 
     // HOT: one event per scan/probe/stage transition — array writes only.
     #[inline]
-    fn push(&mut self, kind: FlightEventKind, a: u32, b: u64) {
+    fn log_event(&mut self, kind: FlightEventKind, a: u32, b: u64) {
         let t_ns = self.t0.elapsed().as_nanos() as u64;
         match kind {
             FlightEventKind::StageEnter => {
                 self.charge(t_ns);
-                if self.depth < STACK_DEPTH {
-                    self.stack[self.depth] = a as u8;
+                if let Some(slot) = self.stack.get_mut(self.depth) {
+                    *slot = a as u8;
                 }
                 self.depth += 1;
             }
@@ -216,13 +270,18 @@ impl Inner {
                 self.charge(t_ns);
                 self.depth = self.depth.saturating_sub(1);
             }
-            FlightEventKind::Retry => self.retries += 1,
-            FlightEventKind::Failover => self.failovers += 1,
+            FlightEventKind::StorageSeek => self.cost.storage_seeks += 1,
+            FlightEventKind::PreaggHit => self.cost.preagg_hits += 1,
+            FlightEventKind::PreaggSkip => self.cost.preagg_skips += 1,
+            FlightEventKind::Retry => self.cost.retries += 1,
+            FlightEventKind::Failover => self.cost.failovers += 1,
+            FlightEventKind::Degraded => self.cost.degraded = 1,
             FlightEventKind::FaultInjected => self.faults += 1,
-            FlightEventKind::Degraded => self.degraded += 1,
             _ => {}
         }
-        self.ring[self.next] = FlightEvent { t_ns, kind, a, b };
+        if let Some(slot) = self.ring.get_mut(self.next) {
+            *slot = FlightEvent { t_ns, kind, a, b };
+        }
         self.next = (self.next + 1) % RING_EVENTS;
         if self.len < RING_EVENTS {
             self.len += 1;
@@ -295,15 +354,16 @@ impl Recorder {
             if inner.trace_id != summary.trace_id {
                 return None;
             }
+            let cost = &summary.cost;
             Some(PostMortem {
                 trace_id: summary.trace_id,
                 outcome,
                 culprit: summary.culprit(),
-                total_ns: summary.total_ns,
-                stage_self_ns: summary.stage_self_ns,
-                other_ns: summary.other_ns,
-                retries: summary.retries,
-                failovers: summary.failovers,
+                total_ns: cost.total_ns,
+                stage_self_ns: cost.stage_ns,
+                other_ns: cost.other_ns(),
+                retries: cost.retries,
+                failovers: cost.failovers,
                 faults: summary.faults,
                 dropped_events: summary.dropped_events,
                 events: inner.events(),
@@ -327,16 +387,10 @@ pub struct FlightSummary {
     /// all other fields are zero then.
     pub active: bool,
     pub trace_id: u64,
-    pub total_ns: u64,
-    /// Exclusive (self) time per [`Stage`], indexed by `Stage::index()`.
-    pub stage_self_ns: [u64; NUM_STAGES],
-    /// `total_ns - sum(stage_self_ns)`: time outside every instrumented
-    /// stage. The three fields always sum exactly to `total_ns`.
-    pub other_ns: u64,
-    pub retries: u32,
-    pub failovers: u32,
+    /// What the request did and where its time went: exclusive self time
+    /// per [`Stage`], end-to-end time, and the cost counters.
+    pub cost: CostProfile,
     pub faults: u32,
-    pub degraded: u32,
     pub dropped_events: u64,
 }
 
@@ -345,13 +399,8 @@ impl FlightSummary {
         FlightSummary {
             active: false,
             trace_id: 0,
-            total_ns: 0,
-            stage_self_ns: [0; NUM_STAGES],
-            other_ns: 0,
-            retries: 0,
-            failovers: 0,
+            cost: CostProfile::default(),
             faults: 0,
-            degraded: 0,
             dropped_events: 0,
         }
     }
@@ -359,8 +408,8 @@ impl FlightSummary {
     /// The stage that consumed the most self-time, or `"other"` when
     /// un-instrumented time dominates.
     pub fn culprit(&self) -> &'static str {
-        let (mut best, mut best_ns) = ("other", self.other_ns);
-        for (i, &ns) in self.stage_self_ns.iter().enumerate() {
+        let (mut best, mut best_ns) = ("other", self.cost.other_ns());
+        for (i, &ns) in self.cost.stage_ns.iter().enumerate() {
             if ns > best_ns {
                 best = Stage::ALL[i].name();
                 best_ns = ns;
@@ -374,8 +423,8 @@ impl FlightSummary {
 /// request. Panic-safe: dropping the scope (normally via
 /// [`finish`](Self::finish), or by unwinding) uninstalls the recorder and
 /// returns its ring to the pooled handle. A scope entered while another is
-/// active on the same thread is passive — its events land in the outer
-/// request's ring.
+/// active on the same thread is passive — its events and cost counters land
+/// in the outer request's recorder.
 pub struct FlightScope<'a> {
     #[cfg(not(feature = "obs-off"))]
     rec: &'a mut Recorder,
@@ -386,24 +435,26 @@ pub struct FlightScope<'a> {
 }
 
 impl<'a> FlightScope<'a> {
-    /// Begin recording into `rec`. Allocates the ring the first time a given
-    /// recorder is used; warm reuse is allocation-free.
+    /// Begin recording into `rec` for a request that started at `t0` (the
+    /// request's one clock: every event time and the summary's total are
+    /// measured from it). Allocates the ring the first time a given recorder
+    /// is used; warm reuse is allocation-free.
     #[inline]
-    pub fn enter(rec: &'a mut Recorder) -> Self {
+    pub fn enter(rec: &'a mut Recorder, t0: Instant) -> Self {
         #[cfg(not(feature = "obs-off"))]
         {
             let already = FLIGHT.with(|f| f.borrow().is_some());
             if already {
                 return FlightScope { rec, armed: false };
             }
-            let mut inner = rec.inner.take().unwrap_or_else(Inner::new);
-            inner.reset(next_trace_id());
+            let mut inner = rec.inner.take().unwrap_or_else(|| Inner::new(t0));
+            inner.reset(next_trace_id(), t0);
             FLIGHT.with(|f| *f.borrow_mut() = Some(inner));
             FlightScope { rec, armed: true }
         }
         #[cfg(feature = "obs-off")]
         {
-            let _ = rec;
+            let _ = (rec, t0);
             FlightScope {
                 _rec: std::marker::PhantomData,
             }
@@ -431,17 +482,12 @@ impl<'a> FlightScope<'a> {
             if inner.depth > 0 {
                 inner.charge(total_ns);
             }
-            let stage_sum: u64 = inner.stage_self_ns.iter().sum();
+            inner.cost.total_ns = total_ns;
             let summary = FlightSummary {
                 active: true,
                 trace_id: inner.trace_id,
-                total_ns,
-                stage_self_ns: inner.stage_self_ns,
-                other_ns: total_ns.saturating_sub(stage_sum),
-                retries: inner.retries,
-                failovers: inner.failovers,
+                cost: inner.cost,
                 faults: inner.faults,
-                degraded: inner.degraded,
                 dropped_events: inner.dropped,
             };
             self.rec.inner = Some(inner);
@@ -465,33 +511,56 @@ impl Drop for FlightScope<'_> {
     }
 }
 
+/// Apply `f` to the thread's active recorder, if any.
+#[cfg(not(feature = "obs-off"))]
+#[inline]
+fn with_active(f: impl FnOnce(&mut Inner)) {
+    FLIGHT.with(|cell| {
+        if let Some(inner) = cell.borrow_mut().as_mut() {
+            f(inner);
+        }
+    });
+}
+
 /// Record one event into the thread's active flight recorder, if any.
 /// Outside a [`FlightScope`] this is a thread-local check and nothing else.
 // HOT: called per scan / per probe / per stage transition, never per row.
 #[inline]
 pub fn event(kind: FlightEventKind, a: u32, b: u64) {
     #[cfg(not(feature = "obs-off"))]
-    FLIGHT.with(|f| {
-        if let Some(inner) = f.borrow_mut().as_mut() {
-            inner.push(kind, a, b);
-        }
-    });
+    with_active(|inner| inner.log_event(kind, a, b));
     #[cfg(feature = "obs-off")]
     let _ = (kind, a, b);
 }
 
-/// [`event`] shorthand used by [`crate::trace::span`].
-#[cfg(not(feature = "obs-off"))]
+/// Add `rows` visited by one storage scan to the active request's cost.
 #[inline]
-pub(crate) fn stage_enter(stage: Stage) {
-    event(FlightEventKind::StageEnter, stage.index() as u32, 0);
+pub fn add_rows_scanned(rows: u64) {
+    #[cfg(not(feature = "obs-off"))]
+    with_active(|inner| inner.cost.rows_scanned += rows);
+    #[cfg(feature = "obs-off")]
+    let _ = rows;
 }
 
-/// [`event`] shorthand used by [`crate::trace::span`].
-#[cfg(not(feature = "obs-off"))]
+/// Add `bytes` of encoded rows decoded for the active request to its cost.
 #[inline]
-pub(crate) fn stage_exit(stage: Stage) {
+pub fn add_bytes_decoded(bytes: u64) {
+    #[cfg(not(feature = "obs-off"))]
+    with_active(|inner| inner.cost.bytes_decoded += bytes);
+    #[cfg(feature = "obs-off")]
+    let _ = bytes;
+}
+
+/// Run `f` as `stage` of the active request: one enter and one exit event
+/// on the thread's flight recorder, which charges the time in between (less
+/// nested stages) to `stage`. Outside a [`FlightScope`] this is two
+/// thread-local checks and nothing else.
+#[inline]
+pub fn span<R>(stage: Stage, f: impl FnOnce() -> R) -> R {
+    event(FlightEventKind::StageEnter, stage.index() as u32, 0);
+    let out = f();
     event(FlightEventKind::StageExit, stage.index() as u32, 0);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -557,8 +626,8 @@ pub struct PostMortem {
     pub total_ns: u64,
     pub stage_self_ns: [u64; NUM_STAGES],
     pub other_ns: u64,
-    pub retries: u32,
-    pub failovers: u32,
+    pub retries: u64,
+    pub failovers: u64,
     pub faults: u32,
     /// Events overwritten after the ring filled.
     pub dropped_events: u64,
@@ -672,12 +741,77 @@ impl PostMortem {
     }
 }
 
-fn slow_log_ring() -> &'static Mutex<VecDeque<PostMortem>> {
-    static RING: OnceLock<Mutex<VecDeque<PostMortem>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)))
+/// A bounded FIFO of post-mortems ([`SLOW_LOG_CAPACITY`], oldest evicted
+/// first) plus a count of every publication. The engine publishes into the
+/// process-wide instance behind the free functions below; unit tests use
+/// private instances so they never race each other on shared state.
+struct SlowLog {
+    ring: Mutex<VecDeque<PostMortem>>,
+    published: AtomicU64,
 }
 
-static PUBLISHED: AtomicU64 = AtomicU64::new(0);
+impl SlowLog {
+    fn new() -> Self {
+        SlowLog {
+            ring: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
+            published: AtomicU64::new(0),
+        }
+    }
+
+    fn global() -> &'static SlowLog {
+        static GLOBAL: OnceLock<SlowLog> = OnceLock::new();
+        GLOBAL.get_or_init(SlowLog::new)
+    }
+
+    fn ring(&self) -> std::sync::MutexGuard<'_, VecDeque<PostMortem>> {
+        self.ring.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn publish(&self, pm: PostMortem) {
+        #[cfg(not(feature = "obs-off"))]
+        {
+            self.published.fetch_add(1, Ordering::Relaxed);
+            let mut ring = self.ring();
+            if ring.len() == SLOW_LOG_CAPACITY {
+                ring.pop_front();
+            }
+            ring.push_back(pm);
+        }
+        #[cfg(feature = "obs-off")]
+        let _ = pm;
+    }
+
+    fn retained(&self) -> Vec<PostMortem> {
+        self.ring().iter().cloned().collect()
+    }
+
+    fn published_total(&self) -> u64 {
+        self.published.load(Ordering::Relaxed)
+    }
+
+    fn render_report(&self, json: bool) -> String {
+        let log = self.retained();
+        if json {
+            let items: Vec<String> = log.iter().map(PostMortem::render_json).collect();
+            return format!(
+                "{{\"published_total\":{},\"retained\":{},\"slow_queries\":[{}]}}",
+                self.published_total(),
+                log.len(),
+                items.join(",")
+            );
+        }
+        let mut out = format!(
+            "slow-query log: {} retained of {} published (threshold {:.3}ms)\n",
+            log.len(),
+            self.published_total(),
+            slow_query_threshold_ns() as f64 / 1e6
+        );
+        for pm in &log {
+            out.push_str(&pm.render_text());
+        }
+        out
+    }
+}
 
 #[cfg(not(feature = "obs-off"))]
 fn postmortems_counter() -> &'static std::sync::Arc<crate::Counter> {
@@ -693,61 +827,29 @@ fn postmortems_counter() -> &'static std::sync::Arc<crate::Counter> {
 /// Publish a post-mortem into the process-wide slow-query log (cold path).
 pub fn publish(pm: PostMortem) {
     #[cfg(not(feature = "obs-off"))]
-    {
-        postmortems_counter().inc();
-        PUBLISHED.fetch_add(1, Ordering::Relaxed);
-        let mut ring = slow_log_ring().lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() == SLOW_LOG_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(pm);
-    }
-    #[cfg(feature = "obs-off")]
-    let _ = pm;
+    postmortems_counter().inc();
+    SlowLog::global().publish(pm);
 }
 
 /// Retained post-mortems, oldest first.
 pub fn slow_log() -> Vec<PostMortem> {
-    let ring = slow_log_ring().lock().unwrap_or_else(|p| p.into_inner());
-    ring.iter().cloned().collect()
+    SlowLog::global().retained()
 }
 
 /// Total post-mortems ever published (survives ring eviction).
 pub fn published_total() -> u64 {
-    PUBLISHED.load(Ordering::Relaxed)
+    SlowLog::global().published_total()
 }
 
 /// Drop all retained post-mortems (tests and bench harnesses).
 pub fn clear_slow_log() {
-    slow_log_ring()
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clear();
+    SlowLog::global().ring().clear();
 }
 
 /// Render the slow-query log as a report. Text mode leads with a one-line
 /// summary; JSON mode emits `{"published_total":..,"slow_queries":[..]}`.
 pub fn render_report(json: bool) -> String {
-    let log = slow_log();
-    if json {
-        let items: Vec<String> = log.iter().map(PostMortem::render_json).collect();
-        return format!(
-            "{{\"published_total\":{},\"retained\":{},\"slow_queries\":[{}]}}",
-            published_total(),
-            log.len(),
-            items.join(",")
-        );
-    }
-    let mut out = format!(
-        "slow-query log: {} retained of {} published (threshold {:.3}ms)\n",
-        log.len(),
-        published_total(),
-        slow_query_threshold_ns() as f64 / 1e6
-    );
-    for pm in &log {
-        out.push_str(&pm.render_text());
-    }
-    out
+    SlowLog::global().render_report(json)
 }
 
 #[cfg(test)]
@@ -766,23 +868,23 @@ mod tests {
     #[cfg(not(feature = "obs-off"))]
     fn attribution_sums_to_total_and_survives_ring_wrap() {
         let mut rec = Recorder::new();
-        let scope = FlightScope::enter(&mut rec);
-        crate::trace::span(Stage::Plan, || sleep_us(200));
+        let scope = FlightScope::enter(&mut rec, Instant::now());
+        span(Stage::Plan, || sleep_us(200));
         // Flood the ring well past capacity: attribution must stay exact.
         for i in 0..(RING_EVENTS as u64 * 3) {
             event(FlightEventKind::DeadlineProbe, 0, i);
         }
-        crate::trace::span(Stage::StorageSeek, || {
+        span(Stage::StorageSeek, || {
             event(FlightEventKind::ScanRows, 0, 123);
             sleep_us(200)
         });
         let summary = scope.finish();
         assert!(summary.active);
         assert!(summary.trace_id > 0);
-        let sum: u64 = summary.stage_self_ns.iter().sum();
-        assert_eq!(sum + summary.other_ns, summary.total_ns);
-        assert!(summary.stage_self_ns[Stage::Plan.index()] >= 200_000);
-        assert!(summary.stage_self_ns[Stage::StorageSeek.index()] >= 200_000);
+        let sum: u64 = summary.cost.stage_ns.iter().sum();
+        assert_eq!(sum + summary.cost.other_ns(), summary.cost.total_ns);
+        assert!(summary.cost.stage_ns[Stage::Plan.index()] >= 200_000);
+        assert!(summary.cost.stage_ns[Stage::StorageSeek.index()] >= 200_000);
         assert!(summary.dropped_events > 0);
 
         let pm = rec.post_mortem(Outcome::Slow, &summary).unwrap();
@@ -804,40 +906,103 @@ mod tests {
     #[cfg(not(feature = "obs-off"))]
     fn nested_stages_attribute_self_time_only() {
         let mut rec = Recorder::new();
-        let scope = FlightScope::enter(&mut rec);
-        crate::trace::span(Stage::WindowDispatch, || {
+        let scope = FlightScope::enter(&mut rec, Instant::now());
+        span(Stage::WindowDispatch, || {
             sleep_us(150);
-            crate::trace::span(Stage::Aggregate, || sleep_us(150));
+            span(Stage::Aggregate, || sleep_us(150));
         });
         let summary = scope.finish();
-        let dispatch = summary.stage_self_ns[Stage::WindowDispatch.index()];
-        let agg = summary.stage_self_ns[Stage::Aggregate.index()];
+        let dispatch = summary.cost.stage_ns[Stage::WindowDispatch.index()];
+        let agg = summary.cost.stage_ns[Stage::Aggregate.index()];
         assert!(dispatch >= 150_000, "dispatch self {dispatch}");
         assert!(agg >= 150_000, "agg self {agg}");
         // exclusive times: the parent does not also absorb the child
         assert!(
-            summary.stage_self_ns.iter().sum::<u64>() <= summary.total_ns,
+            summary.cost.stage_sum_ns() <= summary.cost.total_ns,
             "self-times exceed total"
         );
     }
 
     #[test]
-    #[cfg(not(feature = "obs-off"))]
     fn nested_scope_is_passive_and_events_land_in_outer_ring() {
         let mut outer = Recorder::new();
         let mut inner = Recorder::new();
-        let scope = FlightScope::enter(&mut outer);
-        let nested = FlightScope::enter(&mut inner);
+        let scope = FlightScope::enter(&mut outer, Instant::now());
+        add_rows_scanned(1);
+        let nested = FlightScope::enter(&mut inner, Instant::now());
         event(FlightEventKind::PreaggHit, 7, 0);
+        event(FlightEventKind::StorageSeek, 0, 0);
+        add_rows_scanned(10);
+        add_bytes_decoded(64);
         let ns = nested.finish();
-        assert!(!ns.active);
+        assert!(!ns.active, "nested scope must be passive");
+        assert_eq!(ns.cost, CostProfile::default());
+        add_rows_scanned(100);
         let summary = scope.finish();
+        assert!(inner.post_mortem(Outcome::Slow, &ns).is_none());
+        if !crate::enabled() {
+            assert!(!summary.active);
+            return;
+        }
+        // Events and cost counters recorded inside the nested scope land in
+        // the outer request's recorder.
+        assert_eq!(summary.cost.rows_scanned, 111);
+        assert_eq!(summary.cost.bytes_decoded, 64);
+        assert_eq!(summary.cost.storage_seeks, 1);
+        assert_eq!(summary.cost.preagg_hits, 1);
         let pm = outer.post_mortem(Outcome::Slow, &summary).unwrap();
         assert!(pm
             .events
             .iter()
             .any(|e| e.kind == FlightEventKind::PreaggHit && e.a == 7));
-        assert!(inner.post_mortem(Outcome::Slow, &ns).is_none());
+    }
+
+    #[test]
+    fn finish_returns_the_recorded_cost_profile() {
+        let mut rec = Recorder::new();
+        let scope = FlightScope::enter(&mut rec, Instant::now());
+        span(Stage::StorageSeek, || {
+            event(FlightEventKind::StorageSeek, 3, 0);
+            event(FlightEventKind::StorageSeek, 3, 0);
+            add_rows_scanned(40);
+            add_bytes_decoded(512);
+        });
+        span(Stage::WindowDispatch, || {
+            event(FlightEventKind::PreaggHit, 0, 0);
+            event(FlightEventKind::PreaggSkip, 1, 0);
+            span(Stage::Aggregate, || ());
+        });
+        event(FlightEventKind::Retry, 1, 0);
+        event(FlightEventKind::Retry, 2, 0);
+        event(FlightEventKind::Failover, 1, 0);
+        // Degraded is a per-request flag, not a count.
+        event(FlightEventKind::Degraded, 0, 0);
+        event(FlightEventKind::Degraded, 0, 0);
+        let summary = scope.finish();
+        if !crate::enabled() {
+            assert!(!summary.active);
+            assert_eq!(summary.cost, CostProfile::default());
+            return;
+        }
+        let cost = summary.cost;
+        assert_eq!(
+            cost,
+            CostProfile {
+                rows_scanned: 40,
+                bytes_decoded: 512,
+                storage_seeks: 2,
+                preagg_hits: 1,
+                preagg_skips: 1,
+                retries: 2,
+                failovers: 1,
+                degraded: 1,
+                scratch_high_water_bytes: 0,
+                stage_ns: cost.stage_ns,
+                total_ns: cost.total_ns,
+            }
+        );
+        assert_eq!(cost.stage_sum_ns() + cost.other_ns(), cost.total_ns);
+        assert!(cost.stage_sum_ns() <= cost.total_ns);
     }
 
     #[test]
@@ -845,13 +1010,13 @@ mod tests {
     fn unwinding_uninstalls_the_recorder() {
         let mut rec = Recorder::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = FlightScope::enter(&mut rec);
+            let _scope = FlightScope::enter(&mut rec, Instant::now());
             panic!("boom");
         }));
         assert!(r.is_err());
         // the thread-local must be clean: a fresh scope arms normally
         let mut rec2 = Recorder::new();
-        let scope = FlightScope::enter(&mut rec2);
+        let scope = FlightScope::enter(&mut rec2, Instant::now());
         assert!(scope.finish().active);
     }
 
@@ -859,7 +1024,7 @@ mod tests {
     fn events_outside_scope_are_noops() {
         event(FlightEventKind::ScanRows, 0, 99);
         let mut rec = Recorder::new();
-        let scope = FlightScope::enter(&mut rec);
+        let scope = FlightScope::enter(&mut rec, Instant::now());
         let summary = scope.finish();
         if crate::enabled() {
             assert!(summary.active);
@@ -873,8 +1038,7 @@ mod tests {
 
     #[test]
     fn slow_log_publish_retain_and_render() {
-        clear_slow_log();
-        let before = published_total();
+        let slow = SlowLog::new();
         let pm = PostMortem {
             trace_id: 99,
             outcome: Outcome::Timeout,
@@ -889,19 +1053,19 @@ mod tests {
             events: vec![],
             note: "served=[1] oracle=[2]".into(),
         };
-        publish(pm.clone());
+        slow.publish(pm);
         if crate::enabled() {
-            assert_eq!(published_total(), before + 1);
-            let log = slow_log();
+            assert_eq!(slow.published_total(), 1);
+            let log = slow.retained();
             assert_eq!(log.last().unwrap().trace_id, 99);
-            let report = render_report(false);
+            let report = slow.render_report(false);
             assert!(report.contains("outcome=timeout"));
             assert!(report.contains("note: served=[1] oracle=[2]"));
-            let json = render_report(true);
+            let json = slow.render_report(true);
             assert!(json.contains("\"outcome\":\"timeout\""));
             assert!(json.contains("\"note\":\"served=[1] oracle=[2]\""));
         } else {
-            assert!(slow_log().is_empty());
+            assert!(slow.retained().is_empty());
         }
     }
 
@@ -910,9 +1074,9 @@ mod tests {
         if !crate::enabled() {
             return;
         }
-        clear_slow_log();
+        let slow = SlowLog::new();
         for i in 0..(SLOW_LOG_CAPACITY + 5) {
-            publish(PostMortem {
+            slow.publish(PostMortem {
                 trace_id: i as u64,
                 outcome: Outcome::Slow,
                 culprit: "other",
@@ -927,10 +1091,10 @@ mod tests {
                 note: String::new(),
             });
         }
-        let log = slow_log();
+        let log = slow.retained();
         assert_eq!(log.len(), SLOW_LOG_CAPACITY);
         assert_eq!(log[0].trace_id, 5);
-        clear_slow_log();
+        assert_eq!(slow.published_total(), SLOW_LOG_CAPACITY as u64 + 5);
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub struct Exemplar {
     /// the same answer a single unsharded store would give.
     pub stamp: u64,
     /// Per-stage self-times of the exemplified request, indexed like
-    /// [`crate::trace::Stage::ALL`].
+    /// [`crate::Stage::ALL`].
     pub stage_self_ns: [u64; NUM_STAGES],
 }
 

@@ -8,10 +8,12 @@
 //! * [`Histogram`] — log-linear (HDR-style) latency histogram with mergeable
 //!   per-thread shards and exact percentile extraction (see [`hist`]).
 //!
-//! Plus a request-scoped span tracer ([`trace`]) that decomposes a request
-//! into pipeline stages (plan → cache lookup → window dispatch → storage seek
-//! → aggregate → encode) with nanosecond timestamps, retained in a bounded
-//! ring buffer.
+//! Plus one per-request record, the always-on flight recorder ([`flight`]):
+//! [`span`] marks pipeline stages (plan → cache lookup → window dispatch →
+//! storage seek → aggregate → encode) and the recorder keeps exact stage
+//! self-times, the request's [`CostProfile`] and a bounded event ring, dumped
+//! as a post-mortem when the request is slow or fails. Per-deployment
+//! aggregates of the cost profile live in the [`ProfileStore`].
 //!
 //! All metrics live in the process-wide [`Registry`] and are exposed through
 //! [`Registry::render`] (Prometheus text format) and
@@ -41,20 +43,19 @@ pub mod labels;
 pub mod ops;
 pub mod profile;
 pub mod topk;
-pub mod trace;
 
 pub use audit::{DivergenceKind, DivergenceReport, Fnv, ScanDigest};
 pub use flight::{
-    FlightEvent, FlightEventKind, FlightScope, FlightSummary, Outcome, PostMortem, Recorder,
+    span, FlightEvent, FlightEventKind, FlightScope, FlightSummary, Outcome, PostMortem, Recorder,
+    Stage,
 };
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
 pub use labels::{
     LabelId, LabelRegistry, LabeledCounter, LabeledHistogram, MAX_LABEL_SLOTS, OVERFLOW_LABEL,
 };
 pub use ops::{OpsHandler, OpsResponse, OpsServer};
-pub use profile::{CostProfile, ProfileScope, ProfileStore};
+pub use profile::{CostProfile, ProfileStore};
 pub use topk::{SpaceSaving, TopEntry};
-pub use trace::{span, with_request_trace, SpanRecord, Stage, Trace, Tracer};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,35 +1,25 @@
 //! Per-request cost profiles and per-deployment aggregates.
 //!
-//! The flight recorder answers "where did *this* request's time go"; the
-//! cost profile answers "what did this request *do*" — rows scanned, bytes
-//! decoded, storage seeks, pre-aggregation hits — and, folded per
-//! deployment into the [`ProfileStore`], "what does this *deployment* cost
-//! on average", rendered in an `EXPLAIN ANALYZE` style.
-//!
-//! Attribution mirrors the flight recorder's thread-local active-scope
-//! pattern: the engine opens a [`ProfileScope`] per request, deeply nested
-//! code (the storage layer's seek/scan sites) calls the free `record_*`
-//! functions without threading a handle through every signature, and the
-//! engine closes the scope, stamps in the flight summary's exact stage
-//! times, and folds the finished [`CostProfile`] into the store under the
-//! deployment's label slot. [`CostProfile`] is `Copy` and fixed-size, so
-//! carrying it in the pooled request scratch keeps the warm path
-//! allocation-free. Under `obs-off` every record call is an inlined no-op
-//! and [`ProfileScope::finish`] returns `None`.
+//! The flight recorder ([`crate::flight`]) is the one per-request record: it
+//! accumulates each request's [`CostProfile`] — what the request *did*
+//! (rows scanned, bytes decoded, storage seeks, pre-aggregation hits) and
+//! where its time went (exact stage self-times) — and
+//! [`FlightScope::finish`](crate::FlightScope::finish) hands it back. The
+//! engine folds it per deployment into the [`ProfileStore`], which answers
+//! "what does this *deployment* cost on average", rendered in an
+//! `EXPLAIN ANALYZE` style. [`CostProfile`] is `Copy` and fixed-size, so
+//! the warm path stays allocation-free.
 
-#[cfg(not(feature = "obs-off"))]
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::flight::NUM_STAGES;
+use crate::flight::{Stage, NUM_STAGES};
 use crate::labels::{LabelId, LabelRegistry, MAX_LABEL_SLOTS};
-use crate::trace::Stage;
 
 /// What one request did, in fixed-size counters. The `stage_ns` slots are
-/// indexed by [`Stage::index`] and copied verbatim from the flight
-/// recorder's exact self-time attribution.
+/// indexed by [`Stage::index`] and hold the flight recorder's exact
+/// self-time attribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostProfile {
     /// Rows visited by window scans and seeks (storage-layer attribution).
@@ -46,7 +36,7 @@ pub struct CostProfile {
     pub retries: u64,
     /// Replica failovers.
     pub failovers: u64,
-    /// 1 when the request returned a degraded (buckets-only) answer.
+    /// 1 when the request entered degraded (buckets-only) mode.
     pub degraded: u64,
     /// High-water mark of the request scratch arena, in bytes.
     pub scratch_high_water_bytes: u64,
@@ -60,6 +50,12 @@ impl CostProfile {
     /// Sum of the per-stage self times.
     pub fn stage_sum_ns(&self) -> u64 {
         self.stage_ns.iter().sum()
+    }
+
+    /// Time outside every instrumented stage:
+    /// `stage_sum_ns() + other_ns() == total_ns`.
+    pub fn other_ns(&self) -> u64 {
+        self.total_ns.saturating_sub(self.stage_sum_ns())
     }
 
     /// Accumulate `other` into `self` (high-water fields take the max).
@@ -80,119 +76,6 @@ impl CostProfile {
         }
         self.total_ns += other.total_ns;
     }
-}
-
-#[cfg(not(feature = "obs-off"))]
-thread_local! {
-    static ACTIVE: RefCell<Option<CostProfile>> = const { RefCell::new(None) };
-}
-
-/// Installs a fresh [`CostProfile`] as the thread's active accumulator for
-/// one request. A scope entered while another is active on the same thread
-/// is passive — records keep landing in the outer request's profile and
-/// [`finish`](Self::finish) returns `None`. Panic-safe: dropping the scope
-/// uninstalls the accumulator.
-#[must_use]
-pub struct ProfileScope {
-    #[cfg(not(feature = "obs-off"))]
-    armed: bool,
-}
-
-impl ProfileScope {
-    #[inline]
-    pub fn enter() -> Self {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let armed = ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                if a.is_some() {
-                    false
-                } else {
-                    *a = Some(CostProfile::default());
-                    true
-                }
-            });
-            ProfileScope { armed }
-        }
-        #[cfg(feature = "obs-off")]
-        ProfileScope {}
-    }
-
-    /// Stop accumulating and return the request's profile. `None` when this
-    /// scope was passive (nested) or under `obs-off`.
-    #[inline]
-    pub fn finish(self) -> Option<CostProfile> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if !self.armed {
-                return None;
-            }
-            let mut this = self;
-            this.armed = false;
-            ACTIVE.with(|a| a.borrow_mut().take())
-        }
-        #[cfg(feature = "obs-off")]
-        None
-    }
-}
-
-impl Drop for ProfileScope {
-    fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if self.armed {
-            ACTIVE.with(|a| a.borrow_mut().take());
-        }
-    }
-}
-
-#[cfg(not(feature = "obs-off"))]
-#[inline]
-fn with_active(f: impl FnOnce(&mut CostProfile)) {
-    ACTIVE.with(|a| {
-        if let Some(p) = a.borrow_mut().as_mut() {
-            f(p);
-        }
-    });
-}
-
-/// Record one storage index seek against the active profile, if any.
-// HOT: one thread-local check per seek.
-#[inline]
-pub fn record_seek() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.storage_seeks += 1);
-}
-
-/// Record `n` rows visited by a scan.
-#[inline]
-pub fn record_scan_rows(n: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.rows_scanned += n);
-    #[cfg(feature = "obs-off")]
-    let _ = n;
-}
-
-/// Record `n` encoded bytes copied/decoded for the request.
-#[inline]
-pub fn record_bytes(n: u64) {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.bytes_decoded += n);
-    #[cfg(feature = "obs-off")]
-    let _ = n;
-}
-
-/// Record a pre-aggregation fast-path hit.
-#[inline]
-pub fn record_preagg_hit() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.preagg_hits += 1);
-}
-
-/// Record a pre-aggregation fallback to the raw scan.
-#[inline]
-pub fn record_preagg_skip() {
-    #[cfg(not(feature = "obs-off"))]
-    with_active(|p| p.preagg_skips += 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +225,7 @@ impl ProfileStore {
                 100.0 * ns as f64 / denom,
             );
         }
-        let other = p.total_ns.saturating_sub(p.stage_sum_ns());
+        let other = p.other_ns();
         let _ = writeln!(
             out,
             "  stage {:<16} total={:>10.3}ms  avg={:>8.1}us  ({:>4.1}%)",
@@ -392,45 +275,6 @@ impl ProfileStore {
 mod tests {
     use super::*;
     use crate::enabled;
-
-    #[test]
-    fn scope_accumulates_and_uninstalls() {
-        let scope = ProfileScope::enter();
-        record_seek();
-        record_scan_rows(40);
-        record_bytes(512);
-        record_preagg_hit();
-        record_preagg_skip();
-        let p = scope.finish();
-        if enabled() {
-            let p = p.expect("outermost scope is armed");
-            assert_eq!(p.storage_seeks, 1);
-            assert_eq!(p.rows_scanned, 40);
-            assert_eq!(p.bytes_decoded, 512);
-            assert_eq!(p.preagg_hits, 1);
-            assert_eq!(p.preagg_skips, 1);
-        } else {
-            assert!(p.is_none());
-        }
-        // Records outside any scope are dropped, not crashed.
-        record_seek();
-    }
-
-    #[test]
-    fn nested_scope_is_passive() {
-        let outer = ProfileScope::enter();
-        record_scan_rows(1);
-        {
-            let inner = ProfileScope::enter();
-            record_scan_rows(10);
-            assert!(inner.finish().is_none(), "nested scope must be passive");
-        }
-        record_scan_rows(100);
-        if enabled() {
-            let p = outer.finish().unwrap();
-            assert_eq!(p.rows_scanned, 111, "all records land in the outer scope");
-        }
-    }
 
     #[test]
     fn store_folds_and_renders() {

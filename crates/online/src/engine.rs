@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex};
 use openmldb_exec::{
     evaluate, EntryOrder, Program, RequestScratch, ScanEntry, WindowAggSet, REQUEST_ROW,
 };
-use openmldb_obs::trace as obs;
+use openmldb_obs as obs;
 use openmldb_obs::{
     flight, CostProfile, FlightEventKind, FlightScope, FlightSummary, LabelId, LabelRegistry,
-    Outcome, ProfileScope, ProfileStore, Recorder, SpaceSaving,
+    Outcome, ProfileStore, Recorder, SpaceSaving,
 };
 use openmldb_sql::ast::Frame;
 use openmldb_sql::plan::{BoundAggregate, BoundWindow, CompiledQuery};
@@ -206,7 +206,7 @@ impl Deployment {
 /// Execute one request tuple through a deployment, producing one feature
 /// row (online request mode).
 ///
-/// Each call is a request scope for the span tracer and records into the
+/// Each call is one flight-recorder scope and records into the
 /// `openmldb_online_requests_total` / `openmldb_online_request_duration_ns`
 /// metrics. Runs with [`RequestOptions::default()`]: no deadline, default
 /// transient-fault retries — see [`execute_request_with`] for budgeted
@@ -242,49 +242,61 @@ pub fn execute_request_with(
         scratch.audit.arm();
         crate::sentinel::version_signature(provider, dep)
     });
-    // The recorder moves out of the scratch for the duration of the scope so
-    // the pipeline below can borrow the scratch mutably. `Recorder` is a
-    // pooled `Option<Box<_>>`; the take/put pair moves a pointer, it does
-    // not allocate.
-    let mut flight = std::mem::take(&mut scratch.flight);
-    let scope = FlightScope::enter(&mut flight);
-    let pscope = ProfileScope::enter();
-    let t0 = std::time::Instant::now();
-    let ctx = Ctx::new(opts);
-    let out = obs::with_request_trace(|| {
-        let r = execute_streaming(provider, dep, request, &ctx, &mut scratch);
-        crate::metrics::requests().inc();
-        r
+    let result = serve_request(dep, opts, &mut scratch, |ctx, scratch| {
+        execute_streaming(provider, dep, request, ctx, scratch)
     });
+    if let Some(pre_sig) = audit_sig {
+        crate::sentinel::capture(provider, dep, request, &scratch, &result, pre_sig);
+    }
+    dep.put_scratch(scratch);
+    result
+}
+
+/// The request wrapper both pipelines share. It takes one start instant
+/// (which times every recorder event, the request's total and the latency
+/// histogram), runs `pipeline` inside a flight-recorder scope, folds the
+/// recorder's cost profile into the per-deployment surfaces, records the
+/// latency, maps the result and dumps a post-mortem when the outcome calls
+/// for one.
+fn serve_request(
+    dep: &Deployment,
+    opts: &RequestOptions,
+    scratch: &mut RequestScratch,
+    pipeline: impl FnOnce(&Ctx, &mut RequestScratch) -> Result<Row>,
+) -> Result<RequestOutput> {
+    // The recorder moves out of the scratch for the duration of the scope so
+    // the pipeline can borrow the scratch mutably. `Recorder` is a pooled
+    // `Option<Box<_>>`; the take/put pair moves a pointer, it does not
+    // allocate.
+    let mut flight = std::mem::take(&mut scratch.flight);
+    let t0 = std::time::Instant::now();
+    let scope = FlightScope::enter(&mut flight, t0);
+    let ctx = Ctx::new(opts);
+    let out = pipeline(&ctx, scratch);
+    crate::metrics::requests().inc();
     let summary = scope.finish();
     // Attribution runs before the latency capture below so its cost —
     // including first-request lazy init of the labeled metrics, the profile
     // store and the heavy-hitter sketches — lands inside the recorded
     // latency rather than as invisible post-measurement time (the
     // obs-vs-harness divergence gate compares the two).
-    if let Some(mut prof) = pscope.finish() {
-        prof.stage_ns = summary.stage_self_ns;
-        prof.total_ns = t0.elapsed().as_nanos() as u64;
-        prof.retries = u64::from(ctx.retries());
-        prof.failovers = u64::from(ctx.failovers());
-        prof.degraded = u64::from(ctx.degraded());
+    if summary.active {
+        let mut prof = summary.cost;
         prof.scratch_high_water_bytes = scratch.arena.capacity() as u64;
         attribute_request(dep, &prof);
         // Heavy-hitter partition keys: render `dep:key` into the pooled
         // scratch string so the offer allocates nothing on the warm path.
-        if openmldb_obs::enabled() && !scratch.key.is_empty() {
+        if !scratch.key.is_empty() {
             use std::fmt::Write as _;
             scratch.key_repr.clear();
             let _ = write!(scratch.key_repr, "{}:{:?}", dep.name, scratch.key);
             SpaceSaving::hot_keys().offer(&scratch.key_repr);
         }
-        scratch.profile = prof;
     }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
     crate::metrics::request_duration().record_with_exemplar(
-        elapsed_ns,
+        t0.elapsed().as_nanos() as u64,
         summary.trace_id,
-        &summary.stage_self_ns,
+        &summary.cost.stage_ns,
     );
     let result = match out {
         Ok(row) => Ok(RequestOutput {
@@ -302,11 +314,7 @@ pub fn execute_request_with(
         }
     };
     maybe_dump_post_mortem(&flight, &summary, &result);
-    if let Some(pre_sig) = audit_sig {
-        crate::sentinel::capture(provider, dep, request, &scratch, &result, pre_sig);
-    }
     scratch.flight = flight;
-    dep.put_scratch(scratch);
     result
 }
 
@@ -369,7 +377,7 @@ fn maybe_dump_post_mortem(
         Err(_) => Some(Outcome::Failed),
         Ok(o) if o.degraded => Some(Outcome::Degraded),
         Ok(o) if o.failovers > 0 => Some(Outcome::Failover),
-        Ok(_) if summary.total_ns >= flight::slow_query_threshold_ns() => Some(Outcome::Slow),
+        Ok(_) if summary.cost.total_ns >= flight::slow_query_threshold_ns() => Some(Outcome::Slow),
         Ok(_) => None,
     };
     if let Some(outcome) = outcome {
@@ -406,11 +414,9 @@ pub(crate) fn execute_streaming(
         windows,
         compiled,
         vm_stack,
-        // The recorder was moved out by `execute_request_with` before this
-        // borrow; the field is empty here.
+        // The recorder was moved out by `serve_request` before this borrow;
+        // the field is empty here.
         flight: _,
-        // Written by `execute_request_with` after the scopes close.
-        profile: _,
         key_repr: _,
         audit,
     } = scratch;
@@ -527,7 +533,6 @@ pub(crate) fn execute_streaming(
                     match outs {
                         Ok(outs) => {
                             crate::metrics::preagg_hits().inc();
-                            openmldb_obs::profile::record_preagg_hit();
                             flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
                             for (slot, v) in dep.by_window[wid].iter().zip(outs) {
                                 agg_values[*slot] = v;
@@ -539,14 +544,12 @@ pub(crate) fn execute_streaming(
                         // through the full resilience ladder.
                         Err(e) if e.is_transient() => {
                             crate::metrics::preagg_skips().inc();
-                            openmldb_obs::profile::record_preagg_skip();
                             flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                         }
                         Err(e) => return Err(e),
                     }
                 } else if dep.preaggs[wid].is_some() {
                     crate::metrics::preagg_skips().inc();
-                    openmldb_obs::profile::record_preagg_skip();
                     flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                 }
 
@@ -651,7 +654,7 @@ pub(crate) fn execute_streaming(
                     Ok(())
                 })?;
                 // Every arena byte is decoded through a borrowed view below.
-                openmldb_obs::profile::record_bytes(arena.len() as u64);
+                flight::add_bytes_decoded(arena.len() as u64);
 
                 // Consistency-sentinel scan digest: fold the pre-sort scan
                 // order (deterministic for a fixed table state — retries
@@ -885,53 +888,12 @@ pub fn execute_request_materialized_with(
     request: &Row,
     opts: &RequestOptions,
 ) -> Result<RequestOutput> {
-    // The materializing path has no pooled scratch; it carries a transient
-    // recorder (the ring allocates once per request here, like every other
-    // buffer on this path).
-    let mut flight = Recorder::default();
-    let scope = FlightScope::enter(&mut flight);
-    let pscope = ProfileScope::enter();
-    let t0 = std::time::Instant::now();
-    let ctx = Ctx::new(opts);
-    let out = obs::with_request_trace(|| {
-        let r = execute_request_inner_materialized(provider, dep, request, &ctx);
-        crate::metrics::requests().inc();
-        r
-    });
-    let summary = scope.finish();
-    // As on the streaming path: attribute first so the recorded latency
-    // covers the attribution work too.
-    if let Some(mut prof) = pscope.finish() {
-        prof.stage_ns = summary.stage_self_ns;
-        prof.total_ns = t0.elapsed().as_nanos() as u64;
-        prof.retries = u64::from(ctx.retries());
-        prof.failovers = u64::from(ctx.failovers());
-        prof.degraded = u64::from(ctx.degraded());
-        attribute_request(dep, &prof);
-    }
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    crate::metrics::request_duration().record_with_exemplar(
-        elapsed_ns,
-        summary.trace_id,
-        &summary.stage_self_ns,
-    );
-    let result = match out {
-        Ok(row) => Ok(RequestOutput {
-            row,
-            degraded: ctx.degraded(),
-            retries: ctx.retries(),
-            failovers: ctx.failovers(),
-            trace_id: summary.trace_id,
-        }),
-        Err(e) => {
-            if matches!(e, Error::Timeout { .. }) {
-                crate::metrics::timeouts().inc();
-            }
-            Err(e)
-        }
-    };
-    maybe_dump_post_mortem(&flight, &summary, &result);
-    result
+    // The materializing path has no pooled scratch; a transient one carries
+    // its recorder (the ring allocates once per request here, like every
+    // other buffer on this path).
+    serve_request(dep, opts, &mut RequestScratch::default(), |ctx, _| {
+        execute_request_inner_materialized(provider, dep, request, ctx)
+    })
 }
 
 pub(crate) fn execute_request_inner_materialized(
@@ -1038,7 +1000,6 @@ pub(crate) fn execute_request_inner_materialized(
                     match outs {
                         Ok(outs) => {
                             crate::metrics::preagg_hits().inc();
-                            openmldb_obs::profile::record_preagg_hit();
                             flight::event(FlightEventKind::PreaggHit, wid as u32, 0);
                             for (slot, v) in by_window[wid].iter().zip(outs) {
                                 agg_values[*slot] = v;
@@ -1050,14 +1011,12 @@ pub(crate) fn execute_request_inner_materialized(
                         // through the full resilience ladder.
                         Err(e) if e.is_transient() => {
                             crate::metrics::preagg_skips().inc();
-                            openmldb_obs::profile::record_preagg_skip();
                             flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                         }
                         Err(e) => return Err(e),
                     }
                 } else if dep.preaggs[wid].is_some() {
                     crate::metrics::preagg_skips().inc();
-                    openmldb_obs::profile::record_preagg_skip();
                     flight::event(FlightEventKind::PreaggSkip, wid as u32, 0);
                 }
 

@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use openmldb_obs::trace as obs;
+use openmldb_obs as obs;
 use openmldb_types::Result;
 
 use crate::ast::SelectStatement;

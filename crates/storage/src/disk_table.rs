@@ -281,7 +281,7 @@ impl DataTable for DiskTable {
 
     fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         match self.engine.latest(index_id as u32, key)? {
             Some((_, data)) => Ok(Some(self.codec.decode(&data)?)),
             None => Ok(None),
@@ -296,7 +296,7 @@ impl DataTable for DiskTable {
         pred: &mut dyn FnMut(&Row) -> bool,
     ) -> Result<Option<Row>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let upper = upper_ts.unwrap_or(i64::MAX);
         for (_ts, data) in self.engine.range(index_id as u32, key, i64::MIN, upper)? {
             let row = self.codec.decode(&data)?;
@@ -316,7 +316,7 @@ impl DataTable for DiskTable {
         wanted: Option<&[bool]>,
     ) -> Result<Vec<(i64, Row)>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let hits = self
             .engine
             .range(index_id as u32, key, lower_ts, upper_ts)?;
@@ -335,7 +335,7 @@ impl DataTable for DiskTable {
         wanted: Option<&[bool]>,
     ) -> Result<Vec<(i64, Row)>> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let mut hits = self
             .engine
             .range(index_id as u32, key, i64::MIN, upper_ts)?;
@@ -356,7 +356,7 @@ impl DataTable for DiskTable {
         visitor: &mut dyn FnMut(i64, &[u8]) -> bool,
     ) -> Result<()> {
         crate::chaos_inject(openmldb_chaos::InjectionPoint::DiskRead)?;
-        crate::metrics::note_seek();
+        crate::metrics::note_seek(index_id);
         let mut hits = self
             .engine
             .range(index_id as u32, key, lower_ts, upper_ts)?;

@@ -26,21 +26,26 @@ pub fn seeks() -> &'static Counter {
     )
 }
 
-/// Record one index seek: the global seek counter plus, when a request's
-/// cost profile is active on this thread, its per-request seek attribution
-/// (the workload-attribution hook the online engine folds per deployment).
+/// Record one seek on index `index_id`: the global seek counter plus, when
+/// a request's flight recorder is active on this thread, one `StorageSeek`
+/// event (which also counts the seek in the request's cost profile, the
+/// workload-attribution hook the online engine folds per deployment).
 #[inline]
-pub fn note_seek() {
+pub fn note_seek(index_id: usize) {
     seeks().inc();
-    openmldb_obs::profile::record_seek();
+    openmldb_obs::flight::event(
+        openmldb_obs::FlightEventKind::StorageSeek,
+        index_id as u32,
+        0,
+    );
 }
 
 /// Record one completed scan of `rows` rows: the global scan-length
-/// histogram plus the active request profile's row attribution.
+/// histogram plus the active request's row attribution.
 #[inline]
 pub fn note_scan(rows: u64) {
     scan_len().record(rows);
-    openmldb_obs::profile::record_scan_rows(rows);
+    openmldb_obs::flight::add_rows_scanned(rows);
 }
 
 /// Distribution of rows touched per window scan.

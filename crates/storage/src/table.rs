@@ -246,12 +246,7 @@ impl MemTable {
     pub fn latest(&self, index_id: usize, key: &[KeyValue]) -> Result<Option<Row>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         match index.map.get_by(key) {
             Some(list) => match list.latest() {
                 Some((_, data)) => Ok(Some(self.decode(&data)?)),
@@ -271,12 +266,7 @@ impl MemTable {
     ) -> Result<Option<Row>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
             return Ok(None);
         };
@@ -334,12 +324,7 @@ impl MemTable {
     ) -> Result<Vec<(i64, Row)>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
             crate::metrics::note_scan(0);
             return Ok(Vec::new());
@@ -377,12 +362,7 @@ impl MemTable {
     ) -> Result<Vec<(i64, Row)>> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
             crate::metrics::note_scan(0);
             return Ok(Vec::new());
@@ -432,12 +412,7 @@ impl MemTable {
     ) -> Result<()> {
         let index = self.index(index_id)?;
         crate::chaos_inject(openmldb_chaos::InjectionPoint::SkiplistSeek)?;
-        crate::metrics::note_seek();
-        openmldb_obs::flight::event(
-            openmldb_obs::FlightEventKind::StorageSeek,
-            index_id as u32,
-            0,
-        );
+        crate::metrics::note_seek(index_id);
         let Some(list) = index.map.get_by(key) else {
             crate::metrics::note_scan(0);
             return Ok(());

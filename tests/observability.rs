@@ -1,13 +1,13 @@
 //! End-to-end observability: one process exercises the online engine, the
 //! plan cache, storage GC, the incremental executor and the memory manager,
 //! then checks that the global registry exposes the full metric surface and
-//! that the span tracer captured request breakdowns.
+//! that the per-request flight recorder attributed request time to stages.
 
-use openmldb::obs::{Registry, Stage, Tracer};
+use openmldb::obs::{LabelRegistry, ProfileStore, Registry, Stage};
 use openmldb::sql::ast::Frame;
 use openmldb::{recommend_engine, Row, Value};
 
-fn serve_some_requests() -> openmldb::Database {
+fn serve_some_requests(deployment: &str) -> openmldb::Database {
     let db = openmldb::Database::new();
     db.execute(
         "CREATE TABLE actions (userid BIGINT, price DOUBLE, ts TIMESTAMP, \
@@ -23,11 +23,11 @@ fn serve_some_requests() -> openmldb::Database {
         ))
         .unwrap();
     }
-    db.deploy(
-        "DEPLOY f AS SELECT userid, sum(price) OVER w AS spend FROM actions \
+    db.deploy(&format!(
+        "DEPLOY {deployment} AS SELECT userid, sum(price) OVER w AS spend FROM actions \
          WINDOW w AS (PARTITION BY userid ORDER BY ts \
-         ROWS_RANGE BETWEEN 5s PRECEDING AND CURRENT ROW)",
-    )
+         ROWS_RANGE BETWEEN 5s PRECEDING AND CURRENT ROW)"
+    ))
     .unwrap();
     for i in 0..128i64 {
         let request = Row::new(vec![
@@ -35,7 +35,7 @@ fn serve_some_requests() -> openmldb::Database {
             Value::Double(1.0),
             Value::Timestamp(20_000 + i),
         ]);
-        db.request("f", &request).unwrap();
+        db.request(deployment, &request).unwrap();
     }
     // offline queries route through the plan cache: first compiles (miss),
     // second reuses (hit)
@@ -52,10 +52,9 @@ fn serve_some_requests() -> openmldb::Database {
 
 #[test]
 fn registry_exposes_cross_crate_metric_surface() {
-    // trace every request so the tracer assertions below are deterministic
-    Tracer::global().set_sample_every(1);
-
-    let db = serve_some_requests();
+    // A deployment of its own, so the stage attribution checked below comes
+    // from this test's requests alone.
+    let db = serve_some_requests("f_registry");
 
     // exec: drive a sliding window directly (subtract-and-evict + eviction)
     {
@@ -154,20 +153,29 @@ fn registry_exposes_cross_crate_metric_surface() {
         assert!(dur.count() >= 128);
         assert!(dur.percentile(0.999) >= dur.percentile(0.5));
 
-        // the tracer retained request breakdowns with the expected stages
-        let traces = Tracer::global().recent();
-        assert!(!traces.is_empty(), "sampled traces retained");
-        let has = |stage: Stage| {
-            traces
-                .iter()
-                .any(|t| t.spans.iter().any(|s| s.stage == stage))
-        };
-        assert!(has(Stage::StorageSeek), "storage_seek spans: {traces:?}");
-        assert!(has(Stage::WindowDispatch));
-        assert!(has(Stage::Aggregate));
-        assert!(has(Stage::Encode));
-        let trace_json = Tracer::global().render_json();
-        assert!(trace_json.contains("\"stage\":\"window_dispatch\""));
+        // every request's flight recorder attributed time to each stage the
+        // online pipeline runs, folded into this deployment's profile
+        let id = LabelRegistry::deployments()
+            .lookup("f_registry")
+            .expect("label resolved at DEPLOY");
+        let (served, profile) = ProfileStore::global().aggregate(id);
+        assert_eq!(served, 128, "{profile:?}");
+        for stage in [
+            Stage::StorageSeek,
+            Stage::WindowDispatch,
+            Stage::Aggregate,
+            Stage::Encode,
+        ] {
+            assert!(
+                profile.stage_ns[stage.index()] > 0,
+                "no time attributed to {}: {profile:?}",
+                stage.name()
+            );
+        }
+        assert!(profile.storage_seeks > 0, "{profile:?}");
+        assert!(profile.rows_scanned > 0, "{profile:?}");
+        let explain = db.explain_analyze("f_registry");
+        assert!(explain.contains("stage window_dispatch"), "{explain}");
     }
 }
 
@@ -176,7 +184,7 @@ fn registry_exposes_cross_crate_metric_surface() {
 /// breakdown, and the heavy-hitter sketch surfaces the deployment.
 #[test]
 fn per_deployment_attribution_is_exposed() {
-    let db = serve_some_requests();
+    let db = serve_some_requests("f");
     if !openmldb::obs::enabled() {
         return;
     }
@@ -237,7 +245,7 @@ fn timeout_dumps_an_exactly_attributed_post_mortem() {
     use openmldb::RequestOptions;
     use std::time::Duration;
 
-    let db = serve_some_requests();
+    let db = serve_some_requests("f");
     let request = Row::new(vec![
         Value::Bigint(1),
         Value::Double(1.0),
@@ -287,7 +295,7 @@ fn slow_requests_attach_exemplars_to_the_latency_histogram() {
     // Threshold 0: every request from here on qualifies as an exemplar.
     h.enable_exemplars(0);
 
-    let _db = serve_some_requests();
+    let _db = serve_some_requests("f");
 
     let exemplars = h.exemplars();
     assert!(
